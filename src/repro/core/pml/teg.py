@@ -29,7 +29,7 @@ from typing import Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 from repro.core.datatype import DatatypeEngine
 from repro.core.header import HDR_MATCH, HDR_RNDV
 from repro.core.pml.matching import IncomingFragment, MatchingEngine
-from repro.core.ptl.base import PtlError
+from repro.core.ptl.base import PeerUnreachable, PtlError
 from repro.core.request import ANY_SOURCE, ANY_TAG, RecvRequest, Request, SendRequest
 from repro.sim.events import AnyOf
 
@@ -101,6 +101,19 @@ class Pml:
         self.modules.append(module)
         # higher first-fragment capacity & lower latency first: elan4 > tcp
         self.modules.sort(key=lambda m: m.schedule_priority)
+
+    def connect_peer(self, thread, rank: int, info: Dict, replace: bool = False) -> Generator:
+        """Wire ``rank`` into every module that can reach it (``replace``:
+        drop the old incarnation first).  A module whose transport the peer
+        does not expose is skipped -- multi-network tolerance; any other
+        failure is a real one and propagates to the caller."""
+        for m in self.modules:
+            if replace:
+                m.remove_peer(rank)
+            try:
+                yield from m.add_peer(thread, rank, info)
+            except PeerUnreachable:
+                continue
 
     def module_for(self, rank: int) -> "PtlModule":
         """The scheduling heuristic for first fragments: the best-priority

@@ -22,11 +22,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pml.teg import Pml
     from repro.core.request import RecvRequest, SendRequest
 
-__all__ = ["PtlComponent", "PtlModule", "PtlRegistry", "PtlError"]
+__all__ = ["PeerUnreachable", "PtlComponent", "PtlModule", "PtlRegistry", "PtlError"]
 
 
 class PtlError(Exception):
     """Lifecycle violation or transport failure."""
+
+
+class PeerUnreachable(PtlError):
+    """``add_peer``: the peer exposes no endpoint of this module's
+    transport, so another module (or none) must reach it."""
 
 
 class PtlModule:

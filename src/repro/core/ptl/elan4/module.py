@@ -33,7 +33,7 @@ from repro.core.header import (
     HEADER_BYTES,
 )
 from repro.core.pml.matching import IncomingFragment
-from repro.core.ptl.base import PtlComponent, PtlError, PtlModule
+from repro.core.ptl.base import PeerUnreachable, PtlComponent, PtlError, PtlModule
 from repro.core.ptl.elan4 import rdma_sched
 from repro.core.ptl.elan4.completion import CompletionWatcher
 from repro.elan4.event import ChainOp
@@ -200,7 +200,7 @@ class Elan4PtlModule(PtlModule):
 
     def add_peer(self, thread, rank: int, info: Dict) -> Generator:
         if self._info_key not in info:
-            raise PtlError(f"peer {rank} exposes no elan4 endpoint (rail {self.rail})")
+            raise PeerUnreachable(f"peer {rank} exposes no elan4 endpoint (rail {self.rail})")
         self.peers[rank] = info[self._info_key]
         # a re-added peer is a fresh incarnation: forget the dead VPID
         self._dead_vpids.pop(rank, None)

@@ -34,7 +34,7 @@ from repro.core.header import (
     HEADER_BYTES,
 )
 from repro.core.pml.matching import IncomingFragment
-from repro.core.ptl.base import PtlComponent, PtlError, PtlModule
+from repro.core.ptl.base import PeerUnreachable, PtlComponent, PtlError, PtlModule
 from repro.ib.verbs import Cqe, WorkRequest
 from repro.sim.events import AnyOf
 
@@ -120,7 +120,7 @@ class IbPtlModule(PtlModule):
 
     def add_peer(self, thread, rank: int, info: Dict) -> Generator:
         if "ib_node" not in info:
-            raise PtlError(f"peer {rank} exposes no ib endpoint")
+            raise PeerUnreachable(f"peer {rank} exposes no ib endpoint")
         if rank == self.process.rank or rank in self.peers:
             return
         qp = self.nic.create_qp(self.cq)

@@ -32,7 +32,7 @@ from repro.core.header import (
     HEADER_BYTES,
 )
 from repro.core.pml.matching import IncomingFragment
-from repro.core.ptl.base import PtlComponent, PtlError, PtlModule
+from repro.core.ptl.base import PeerUnreachable, PtlComponent, PtlError, PtlModule
 from repro.sim.events import AnyOf
 from repro.tcpip.socket import Listener, TcpSocket
 
@@ -109,7 +109,7 @@ class TcpPtlModule(PtlModule):
 
     def add_peer(self, thread, rank: int, info: Dict) -> Generator:
         if "tcp_port" not in info:
-            raise PtlError(f"peer {rank} exposes no tcp endpoint")
+            raise PeerUnreachable(f"peer {rank} exposes no tcp endpoint")
         if rank == self.process.rank or rank in self.peers:
             return
         if self.process.rank < rank:

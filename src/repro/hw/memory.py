@@ -17,6 +17,11 @@ import numpy as np
 __all__ = ["AddressSpace", "Buffer", "MemoryError_"]
 
 PAGE = 4096
+#: regions up to this size are carved out of a per-space slab
+SLAB_REGION_MAX = 64 * 1024
+#: one slab: zero pages the host only backs once they are written, so the
+#: many small preallocated regions a rank never touches cost no memory
+SLAB_BYTES = 1 << 20
 
 
 class MemoryError_(Exception):
@@ -71,7 +76,10 @@ class AddressSpace:
     ``alloc`` returns :class:`Buffer` handles; ``read``/``write``/``view``
     address bytes anywhere inside a mapped region.  Cross-region accesses
     raise :class:`MemoryError_` — the same behaviour a dangling RDMA
-    descriptor would provoke through the Elan4 MMU.
+    descriptor would provoke through the Elan4 MMU.  Small regions are
+    views of a shared slab rather than arrays of their own; that changes
+    no address, guard gap or bounds check, since every access is checked
+    against its region's own extent.
     """
 
     def __init__(self, name: str = "", base: int = 0x10000):
@@ -84,6 +92,8 @@ class AddressSpace:
         # consecutive accesses almost always land in the same region.
         self._hit_base = -1
         self._hit_region: "np.ndarray | None" = None
+        self._slab: "np.ndarray | None" = None
+        self._slab_used = 0
 
     # -- allocation ----------------------------------------------------
     def alloc(self, nbytes: int, label: str = "") -> Buffer:
@@ -92,11 +102,21 @@ class AddressSpace:
         size = (nbytes + PAGE - 1) // PAGE * PAGE
         addr = self._next
         self._next += size + PAGE  # guard page between regions
-        region = np.zeros(size, dtype=np.uint8)
+        region = self._carve(size) if size <= SLAB_REGION_MAX else np.zeros(size, dtype=np.uint8)
         bisect.insort(self._bases, addr)
         self._regions[addr] = region
         self.allocated_bytes += size
         return Buffer(self, addr, nbytes, label)
+
+    def _carve(self, size: int) -> np.ndarray:
+        """``size`` zero bytes from the current slab (a fresh one when it
+        is full; a slab is released once its last region is freed)."""
+        used = self._slab_used
+        if self._slab is None or used + size > SLAB_BYTES:
+            self._slab = np.zeros(SLAB_BYTES, dtype=np.uint8)
+            used = 0
+        self._slab_used = used + size
+        return self._slab[used : used + size]
 
     def free(self, buf: Buffer) -> None:
         """Unmap the region containing ``buf`` (must be region-initial)."""

@@ -109,11 +109,7 @@ def comm_spawn(
     # rendezvous with the children via the registry, then wire them up
     table = yield from process.oob_sync(thread, desc["group"], desc["count"])
     for rank in sorted(table):
-        for m in api.stack.pml.modules:
-            try:
-                yield from m.add_peer(thread, rank, table[rank]["info"])
-            except Exception:
-                continue
+        yield from api.stack.pml.connect_peer(thread, rank, table[rank]["info"])
     ctx = _group_ctx(desc["group"])
     return InterComm(
         api.stack,
@@ -136,11 +132,7 @@ def comm_get_parent(api: "MpiApi") -> Generator:
     if not parent_table:
         raise MpiError("spawned process found no parent world in the registry")
     for rank in sorted(parent_table):
-        for m in api.stack.pml.modules:
-            try:
-                yield from m.add_peer(thread, rank, parent_table[rank]["info"])
-            except Exception:
-                continue
+        yield from api.stack.pml.connect_peer(thread, rank, parent_table[rank]["info"])
     ctx = _group_ctx(process.group)
     return InterComm(
         api.stack,

@@ -100,14 +100,7 @@ class MpiStack:
         """Connect every module to every peer it can reach; build
         MPI_COMM_WORLD; start progress threads if so configured."""
         for rank in sorted(table):
-            peer_info = table[rank]["info"]
-            for m in self.pml.modules:
-                try:
-                    yield from m.add_peer(thread, rank, peer_info)
-                except Exception:
-                    # peer does not expose this transport; another module
-                    # (or none) will reach it — multi-network tolerance
-                    continue
+            yield from self.pml.connect_peer(thread, rank, table[rank]["info"])
         ranks = sorted(table)
         self.world = Communicator(
             self, ctx_id=WORLD_CTX, group=ranks, rank=self.process.rank
@@ -195,12 +188,7 @@ class MpiApi:
         info, epoch = yield from self.process.oob_lookup(self.thread, rank)
         if info is None:
             raise MpiError(f"rank {rank} is not registered (gone?)")
-        for m in self.stack.pml.modules:
-            try:
-                m.remove_peer(rank)
-                yield from m.add_peer(self.thread, rank, info)
-            except Exception:
-                continue
+        yield from self.stack.pml.connect_peer(self.thread, rank, info, replace=True)
         self.stack.pml.reset_peer(rank)
         return epoch
 
@@ -209,13 +197,8 @@ class MpiApi:
         original world and rebuild ``comm_world`` with the full group."""
         table = yield from self.process.oob_table(self.thread, group)
         for rank in sorted(table):
-            if rank == self.rank:
-                continue
-            for m in self.stack.pml.modules:
-                try:
-                    yield from m.add_peer(self.thread, rank, table[rank]["info"])
-                except Exception:
-                    continue
+            if rank != self.rank:
+                yield from self.stack.pml.connect_peer(self.thread, rank, table[rank]["info"])
         ranks = sorted(set(table) | {self.rank})
         self.stack.world = Communicator(
             self.stack, WORLD_CTX, ranks, self.process.rank

@@ -10,9 +10,11 @@ substrate.  Every process of a job:
 
 1. builds its local transport stack (claims an Elan4 context — obtaining a
    fresh VPID from the system-wide capability — and/or opens TCP endpoints);
-2. connects to the seed over the out-of-band (OOB) channel and registers
-   ``rank → contact info``;
-3. synchronises with its launch group and receives the contact table;
+2. registers ``rank → contact info`` over the out-of-band (OOB) channel,
+   through its parent in the launch group's fence tree (the seed itself
+   for the first eight members), batching its subtree's entries;
+3. receives the group's contact table once the seed holds every member,
+   forwarded down the same tree;
 4. wires up its PTLs and runs the application.
 
 Ranks are job-level names that survive restarts; VPIDs are hardware
@@ -22,9 +24,10 @@ Dynamic spawn (:mod:`repro.rte.spawn`) and checkpoint/restart
 """
 
 from repro.rte.oob import OobChannel, OobError, OobServer
-from repro.rte.environment import RteJob, RteProcess, launch_job
+from repro.rte.environment import FenceError, RteJob, RteProcess, launch_job
 
 __all__ = [
+    "FenceError",
     "OobChannel",
     "OobError",
     "OobServer",

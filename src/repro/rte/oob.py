@@ -14,13 +14,25 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.tcpip.socket import Listener, TcpSocket
 
-__all__ = ["OobChannel", "OobServer", "OobError"]
+__all__ = ["OobChannel", "OobServer", "OobError", "decode", "encode"]
 
 _LEN = struct.Struct(">I")
 
 
 class OobError(Exception):
     """Malformed frame or protocol violation on the OOB channel."""
+
+
+def encode(obj: Any) -> bytes:
+    """The body of one OOB frame: compact JSON."""
+    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+
+
+def decode(body: bytes) -> Any:
+    try:
+        return json.loads(body.decode("utf-8"))
+    except ValueError as e:
+        raise OobError(f"bad OOB payload: {e}") from e
 
 
 class OobChannel:
@@ -31,22 +43,27 @@ class OobChannel:
 
     def send_msg(self, thread, obj: Any):
         """Coroutine: frame and send one message."""
-        body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+        yield from self.send_frame(thread, encode(obj))
+
+    def send_frame(self, thread, body: bytes):
+        """Coroutine: send an already-encoded body (relays forward the
+        bytes they received without decoding and re-encoding them)."""
         yield from self.sock.send(thread, _LEN.pack(len(body)) + body)
 
     def recv_msg(self, thread):
         """Coroutine: receive one framed message (None on orderly EOF)."""
+        body = yield from self.recv_frame(thread)
+        return None if body is None else decode(body)
+
+    def recv_frame(self, thread):
+        """Coroutine: receive one frame's undecoded body (None on EOF)."""
         header = yield from self._recv_exact_or_eof(thread, _LEN.size)
         if header is None:
             return None
         (length,) = _LEN.unpack(header)
         if length > 1 << 24:
             raise OobError(f"implausible OOB frame of {length} bytes")
-        body = yield from self.sock.recv_exact(thread, length)
-        try:
-            return json.loads(body.decode("utf-8"))
-        except ValueError as e:
-            raise OobError(f"bad OOB payload: {e}") from e
+        return (yield from self.sock.recv_exact(thread, length))
 
     def _recv_exact_or_eof(self, thread, n: int):
         parts = b""

@@ -54,9 +54,18 @@ class Listener:
             self.acceptable.set()
         return sock
 
+    @property
+    def pending(self) -> int:
+        """Connections waiting to be accepted."""
+        return len(self._backlog)
+
     def close(self) -> None:
+        """Unbind; connections still in the backlog are reset, so their
+        clients see EOF instead of waiting on a socket nobody reads."""
         self.closed = True
         self.net.unbind(self.node.node_id, self.port)
+        while self._backlog:
+            self._backlog.popleft().close()
 
     # called from connect (network context)
     def _incoming(self, peer: "TcpSocket") -> "TcpSocket":

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw.memory import AddressSpace, Buffer, MemoryError_
+from repro.hw.memory import PAGE, SLAB_BYTES, SLAB_REGION_MAX, AddressSpace, Buffer, MemoryError_
 
 
 def test_alloc_and_rw_roundtrip():
@@ -133,3 +133,48 @@ def test_property_roundtrip_any_size(n):
     payload = np.random.default_rng(n).integers(0, 256, n, dtype=np.uint8)
     buf.write(payload)
     assert np.array_equal(buf.read(), payload)
+
+
+# ------------------------------------------------------------------ slabs
+def test_small_regions_share_a_slab_large_ones_do_not():
+    space = AddressSpace("slab")
+    a = space.alloc(100)
+    b = space.alloc(SLAB_REGION_MAX)
+    big = space.alloc(SLAB_REGION_MAX + 1)
+    assert a.view().base is not None and a.view().base is b.view().base
+    assert big.view().base is not a.view().base
+    # addresses and guard gaps are those of separate regions
+    assert b.addr == a.addr + PAGE + PAGE
+    assert big.addr == b.addr + SLAB_REGION_MAX + PAGE
+    assert space.allocated_bytes == PAGE + SLAB_REGION_MAX + SLAB_REGION_MAX + PAGE
+
+
+def test_slab_neighbours_stay_isolated():
+    """Adjacent in the slab, separate in the address space: an access
+    running off one region traps instead of reaching the next."""
+    space = AddressSpace("slab")
+    a = space.alloc(PAGE)
+    b = space.alloc(PAGE)
+    b.fill(3)
+    with pytest.raises(MemoryError_):
+        space.write(a.addr + PAGE - 2, np.zeros(4, dtype=np.uint8))
+    with pytest.raises(MemoryError_):
+        space.read(a.addr + PAGE, 1)  # the guard gap
+    assert (b.read() == 3).all() and not a.read().any()
+    space.free(a)
+    assert not space.is_mapped(a.addr)
+    assert (b.read() == 3).all()
+
+
+def test_full_slab_rolls_over_to_a_fresh_zeroed_one():
+    space = AddressSpace("slab")
+    per_slab = SLAB_BYTES // SLAB_REGION_MAX
+    bufs = [space.alloc(SLAB_REGION_MAX) for _ in range(per_slab + 1)]
+    for buf in bufs:
+        buf.fill(9)
+    first, last = bufs[0].view().base, bufs[-1].view().base
+    assert bufs[per_slab - 1].view().base is first
+    assert last is not first
+    fresh = space.alloc(10)
+    assert not fresh.read().any()
+    assert all((buf.read() == 9).all() for buf in bufs)
